@@ -33,29 +33,37 @@ func EncodeKey(buf []byte, vals ...Value) []byte {
 		case 0:
 			buf = append(buf, keyTagNull)
 		case KindInt:
-			buf = append(buf, keyTagInt)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(v.i)^(1<<63))
+			buf = appendKeyInt(buf, v.i)
 		case KindFloat:
-			buf = append(buf, keyTagFloat)
-			bits := math.Float64bits(v.f)
-			if bits&(1<<63) != 0 {
-				bits = ^bits // negative floats: invert everything
-			} else {
-				bits |= 1 << 63 // positive: set sign bit
-			}
-			buf = binary.BigEndian.AppendUint64(buf, bits)
+			buf = appendKeyFloat(buf, math.Float64bits(v.f))
 		case KindString:
-			buf = append(buf, keyTagStr)
-			buf = escapeAppend(buf, []byte(v.s))
+			buf = appendKeyStr(buf, []byte(v.s))
 		case KindBytes:
-			buf = append(buf, keyTagStr)
-			buf = escapeAppend(buf, v.b)
+			buf = appendKeyStr(buf, v.b)
 		}
 	}
 	return buf
 }
 
-func escapeAppend(buf, p []byte) []byte {
+func appendKeyInt(buf []byte, i int64) []byte {
+	buf = append(buf, keyTagInt)
+	return binary.BigEndian.AppendUint64(buf, uint64(i)^(1<<63))
+}
+
+// appendKeyFloat encodes a float given its IEEE bits.
+func appendKeyFloat(buf []byte, bits uint64) []byte {
+	buf = append(buf, keyTagFloat)
+	if bits&(1<<63) != 0 {
+		bits = ^bits // negative floats: invert everything
+	} else {
+		bits |= 1 << 63 // positive: set sign bit
+	}
+	return binary.BigEndian.AppendUint64(buf, bits)
+}
+
+// appendKeyStr encodes a string or bytes value (one ordering domain).
+func appendKeyStr(buf, p []byte) []byte {
+	buf = append(buf, keyTagStr)
 	for _, c := range p {
 		if c == 0x00 {
 			buf = append(buf, 0x00, 0xFF)

@@ -166,13 +166,20 @@ func DecodeRow(buf []byte) (Row, error) {
 	return row, err
 }
 
+// rowColsFit bounds an encoded row's column count: at most 1<<20 columns,
+// and no more than the rest bytes left to hold them (every column takes at
+// least its kind byte), so a hostile count cannot size a huge allocation.
+func rowColsFit(n uint64, rest int) bool {
+	return n <= 1<<20 && n <= uint64(rest)
+}
+
 // DecodeRowPrefix parses an encoded row from the front of buf and returns
 // the unconsumed remainder, so callers can decode rows packed back to back
 // (the wire protocol's result encoding). Payloads are copied as in
 // DecodeRow.
 func DecodeRowPrefix(buf []byte) (Row, []byte, error) {
 	n, w := binary.Uvarint(buf)
-	if w <= 0 || n > 1<<20 {
+	if w <= 0 || !rowColsFit(n, len(buf)-w) {
 		return nil, nil, ErrRowCorrupt
 	}
 	pos := w
@@ -211,14 +218,13 @@ func DecodeRowPrefix(buf []byte) (Row, []byte, error) {
 			if l > uint64(len(buf)-pos) {
 				return nil, nil, ErrRowCorrupt
 			}
-			p := make([]byte, l)
-			copy(p, buf[pos:pos+int(l)])
-			pos += int(l)
+			// One allocation per column, never aliasing buf.
 			if k == KindString {
-				row = append(row, S(string(p)))
+				row = append(row, S(string(buf[pos:pos+int(l)])))
 			} else {
-				row = append(row, B(p))
+				row = append(row, B(append(make([]byte, 0, l), buf[pos:pos+int(l)]...)))
 			}
+			pos += int(l)
 		default:
 			return nil, nil, ErrRowCorrupt
 		}

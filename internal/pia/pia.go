@@ -366,24 +366,62 @@ func (m *Map[T]) Range(fn func(rid RID, v *T) bool) {
 		if p == nil {
 			continue
 		}
-		limit := p.next.Load()
-		if limit > p.capacity() {
-			limit = p.capacity()
-		}
-		for s := uint32(0); s < limit; s++ {
-			e := p.slot(s, false)
-			if e == nil {
-				// Skip the rest of this untouched page.
-				s |= 1<<pageBits - 1
-				continue
-			}
-			if v := e.ptr.Load(); v != nil {
-				if !fn(MakeRID(p.id, s), v) {
-					return
-				}
+		limit := uint64(p.next.Load())
+		for pi := 0; pi < len(p.pages) && uint64(pi)<<pageBits < limit; pi++ {
+			if !p.rangePage(uint32(pi), fn) {
+				return
 			}
 		}
 	}
+}
+
+// Pages returns the number of page numbers RangePage accepts. A page is
+// one lazily allocated block of 4096 slots; pages are numbered
+// partition-major, 2^SlotBits/4096 per partition, and a page that was
+// never touched, or lies past its partition's allocation cursor, visits
+// nothing.
+func (m *Map[T]) Pages() int {
+	return len(*m.partitions.Load()) << (m.slotBits - pageBits)
+}
+
+// RangePage is Range restricted to page pg: it calls fn for every slot of
+// that page holding a non-nil pointer, in RID order, and returns false if
+// fn stopped early. Distinct pages may be ranged concurrently, so a bulk
+// scan can be split across goroutines that each claim page numbers.
+func (m *Map[T]) RangePage(pg int, fn func(rid RID, v *T) bool) bool {
+	shift := m.slotBits - pageBits
+	parts := *m.partitions.Load()
+	pid := pg >> shift
+	if pg < 0 || pid >= len(parts) || parts[pid] == nil {
+		return true
+	}
+	return parts[pid].rangePage(uint32(pg&(1<<shift-1)), fn)
+}
+
+// rangePage visits the non-nil slots of page pi below the allocation
+// cursor.
+func (p *partition[T]) rangePage(pi uint32, fn func(rid RID, v *T) bool) bool {
+	limit := uint64(p.next.Load())
+	if c := uint64(p.capacity()); limit > c {
+		limit = c
+	}
+	first := uint64(pi) << pageBits
+	if first >= limit {
+		return true
+	}
+	pg := p.pages[pi].Load()
+	if pg == nil {
+		return true
+	}
+	n := min(limit-first, 1<<pageBits)
+	for i := uint64(0); i < n; i++ {
+		if v := pg[i].ptr.Load(); v != nil {
+			if !fn(MakeRID(p.id, uint32(first+i)), v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // RangeAll is Range but also visits nil-pointer slots that were allocated

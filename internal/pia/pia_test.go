@@ -2,6 +2,7 @@ package pia
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -275,5 +276,80 @@ func TestPropertyMapEquivalence(t *testing.T) {
 	}
 	if m.Live() != int64(len(ref)) {
 		t.Fatalf("Live = %d, want %d", m.Live(), len(ref))
+	}
+}
+
+func TestRangePageCoversRange(t *testing.T) {
+	const pageSlots = 1 << pageBits
+	// Two partitions of four pages each, with untouched pages between the
+	// filled ones and a deleted slot.
+	m := New[rec](Config{SlotBits: pageBits + 2})
+	want := map[RID]int{}
+	for i, rid := range []RID{
+		MakeRID(0, 1), MakeRID(0, 2), MakeRID(0, pageSlots-1),
+		MakeRID(0, 3*pageSlots), MakeRID(1, 0), MakeRID(1, 2*pageSlots+5),
+	} {
+		if err := m.AllocAt(rid); err != nil {
+			t.Fatal(err)
+		}
+		m.Store(rid, &rec{v: i})
+		want[rid] = i
+	}
+	m.Delete(MakeRID(0, 2))
+	delete(want, MakeRID(0, 2))
+	if got := m.Pages(); got != 8 {
+		t.Fatalf("Pages() = %d, want 8", got)
+	}
+
+	// Concurrent workers claiming page numbers see every entry exactly
+	// once, each page in RID order.
+	var next atomic.Int64
+	var mu sync.Mutex
+	got := map[RID]int{}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				pg := int(next.Add(1) - 1)
+				if pg >= m.Pages() {
+					return
+				}
+				prev := RID(0)
+				m.RangePage(pg, func(rid RID, v *rec) bool {
+					if prev != 0 && rid <= prev {
+						t.Errorf("page %d out of order: %v after %v", pg, rid, prev)
+					}
+					prev = rid
+					mu.Lock()
+					if _, dup := got[rid]; dup {
+						t.Errorf("%v visited twice", rid)
+					}
+					got[rid] = v.v
+					mu.Unlock()
+					return true
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if len(got) != len(want) {
+		t.Fatalf("pages visited %v, want %v", got, want)
+	}
+	for rid, v := range want {
+		if got[rid] != v {
+			t.Fatalf("%v: got %d want %d", rid, got[rid], v)
+		}
+	}
+
+	// Out-of-range pages visit nothing; early stop is reported.
+	for _, pg := range []int{-1, m.Pages(), 1 << 30} {
+		if !m.RangePage(pg, func(RID, *rec) bool { t.Fatalf("page %d visited a slot", pg); return true }) {
+			t.Fatalf("page %d reported an early stop", pg)
+		}
+	}
+	if m.RangePage(0, func(RID, *rec) bool { return false }) {
+		t.Fatal("RangePage ignored fn's early stop")
 	}
 }

@@ -863,6 +863,19 @@ func (v *View) At(off int64, n int) ([]byte, error) {
 	return r.slice(off, n), nil
 }
 
+// Window returns the bytes from off to the end of off's internal chunk or
+// to limit, whichever comes first: the longest read from off that At
+// serves zero-copy. A sequential scan walks a PLog window by window, so
+// the slices it hands out alias the PLog's own immutable bytes.
+func (v *View) Window(off, limit int64) ([]byte, error) {
+	cs := int64(v.plog.svc.cfg.ChunkSize)
+	end := (off/cs + 1) * cs
+	if end > limit {
+		end = limit
+	}
+	return v.At(off, int(end-off))
+}
+
 // replicasEqual verifies that all replicas hold identical bytes over the
 // full durable extent; used by invariant tests. Torn PLogs fail this check
 // by design (replica extents diverge past the last acked append).
