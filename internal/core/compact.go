@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hiengine/internal/wal"
@@ -90,42 +91,17 @@ func (e *Engine) CompactFull() (CompactionStats, error) {
 	// change (Figure 4b addresses are updated in place in the PIA chain).
 	for _, t := range tables {
 		var rerr error
+		var chain []*Version
 		t.rows.Range(func(rid RID, head *Version) bool {
-			for v := head; v != nil; v = v.next.Load() {
-				addrRaw := v.addr.Load()
-				if addrRaw == 0 {
-					continue // not durable yet; lives in memory only
+			chain = rewriteOrder(chain[:0], head)
+			for _, v := range chain {
+				addr := wal.Addr(v.addr.Load())
+				if addr == 0 || !oldSegs[addr.Segment()] || isTID(v.tmin.Load()) {
+					continue // not durable or committed yet, or already in a fresh segment
 				}
-				addr := wal.Addr(addrRaw)
-				if !oldSegs[addr.Segment()] {
-					continue // already in a fresh segment
-				}
-				csn := v.tmin.Load()
-				if isTID(csn) {
-					continue
-				}
-				op := wal.OpUpdate
-				var payload []byte
-				if v.tomb {
-					op = wal.OpDelete
-				} else {
-					p, err := v.payload(e)
-					if err != nil {
-						rerr = fmt.Errorf("core: compaction read %v: %w", addr, err)
-						return false
-					}
-					payload = p
-				}
-				buf, off := wal.AppendRecord(nil, op, t.ID, uint64(rid), payload)
-				wal.PatchCSN(buf, off, csn)
-				base, err := e.log.AppendSync(0, buf)
-				if err != nil {
-					rerr = fmt.Errorf("core: compaction append: %w", err)
+				if rerr = e.rewriteVersion(t, rid, v, &stats); rerr != nil {
 					return false
 				}
-				v.addr.Store(uint64(base.Add(uint32(off))))
-				stats.RecordsRewritten++
-				stats.BytesRewritten += int64(len(buf))
 			}
 			return true
 		})
@@ -154,9 +130,9 @@ func (e *Engine) CompactFull() (CompactionStats, error) {
 	return stats, nil
 }
 
-// CompactPartial rewrites only versions created in (sinceCSN, untilCSN],
-// clustering recent changes without touching cold segments (the paper's
-// partial compaction). Old segments are not dropped -- partial compaction
+// CompactPartial rewrites only versions (delete markers included) created
+// in (sinceCSN, untilCSN], clustering recent changes without touching cold
+// segments (the paper's partial compaction). Old segments are not dropped -- partial compaction
 // restores locality for recent data; space reclamation needs CompactFull.
 func (e *Engine) CompactPartial(sinceCSN, untilCSN uint64) (CompactionStats, error) {
 	if e.closed.Load() {
@@ -175,30 +151,17 @@ func (e *Engine) CompactPartial(sinceCSN, untilCSN uint64) (CompactionStats, err
 
 	for _, t := range tables {
 		var rerr error
+		var chain []*Version
 		t.rows.Range(func(rid RID, head *Version) bool {
-			for v := head; v != nil; v = v.next.Load() {
+			chain = rewriteOrder(chain[:0], head)
+			for _, v := range chain {
 				csn := v.tmin.Load()
-				if isTID(csn) || csn <= sinceCSN || csn > untilCSN {
+				if isTID(csn) || csn <= sinceCSN || csn > untilCSN || v.addr.Load() == 0 {
 					continue
 				}
-				if v.addr.Load() == 0 || v.tomb {
-					continue
-				}
-				p, err := v.payload(e)
-				if err != nil {
-					rerr = err
+				if rerr = e.rewriteVersion(t, rid, v, &stats); rerr != nil {
 					return false
 				}
-				buf, off := wal.AppendRecord(nil, wal.OpUpdate, t.ID, uint64(rid), p)
-				wal.PatchCSN(buf, off, csn)
-				base, err := e.log.AppendSync(0, buf)
-				if err != nil {
-					rerr = err
-					return false
-				}
-				v.addr.Store(uint64(base.Add(uint32(off))))
-				stats.RecordsRewritten++
-				stats.BytesRewritten += int64(len(buf))
 			}
 			return true
 		})
@@ -208,4 +171,50 @@ func (e *Engine) CompactPartial(sinceCSN, untilCSN uint64) (CompactionStats, err
 	}
 	e.stats.Compactions.Add(1)
 	return stats, nil
+}
+
+// rewriteVersion appends durable version v of row rid at its own CSN (a
+// delete record for a tombstone) and points v at the copy.
+func (e *Engine) rewriteVersion(t *Table, rid RID, v *Version, stats *CompactionStats) error {
+	op := wal.OpUpdate
+	var payload []byte
+	if v.tomb {
+		op = wal.OpDelete
+	} else {
+		p, err := v.payload(e)
+		if err != nil {
+			return fmt.Errorf("core: compaction read %v: %w", wal.Addr(v.addr.Load()), err)
+		}
+		payload = p
+	}
+	buf, off := wal.AppendRecord(nil, op, t.ID, uint64(rid), payload)
+	wal.PatchCSN(buf, off, v.tmin.Load())
+	base, err := e.log.AppendSync(0, buf)
+	if err != nil {
+		return fmt.Errorf("core: compaction append: %w", err)
+	}
+	v.addr.Store(uint64(base.Add(uint32(off))))
+	stats.RecordsRewritten++
+	stats.BytesRewritten += int64(len(buf))
+	return nil
+}
+
+// rewriteOrder appends the versions of head's chain that a compaction
+// rewrites to buf, oldest first, and returns it. It leaves out a version
+// that carries the CSN of the version chained above it: an earlier write
+// of the same transaction, which no snapshot sees. Both rules keep the
+// rewritten records of a row in the order replay and followers need:
+// replay keeps the later of two records at one CSN, and a follower drops a
+// row as soon as it applies its delete, so a rewrite of an older version
+// appended after the rewrite of a newer one would bring back stale content
+// or a deleted row.
+func rewriteOrder(buf []*Version, head *Version) []*Version {
+	var above *Version
+	for v := head; v != nil; above, v = v, v.next.Load() {
+		if above == nil || above.tmin.Load() != v.tmin.Load() {
+			buf = append(buf, v)
+		}
+	}
+	slices.Reverse(buf)
+	return buf
 }
